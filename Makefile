@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint verify verify-docs bench bench-smoke recover-smoke \
 	offline-smoke elastic-smoke adaptive-smoke slo-smoke examples \
-	profile
+	profile perf-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +22,7 @@ lint:
 	fi
 
 verify: lint test recover-smoke offline-smoke elastic-smoke \
-	adaptive-smoke slo-smoke bench-smoke
+	adaptive-smoke slo-smoke bench-smoke perf-selftest
 
 # Extract and execute every fenced python block in README.md and
 # docs/*.md — documentation code must actually run.
@@ -31,6 +31,12 @@ verify-docs:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# The benchmark's own correctness oracles: every perfbench workload at a
+# tiny size, traced and untraced, must pass its gate with no failed
+# operation and print exactly the metrics BENCHMARK.json declares.
+perf-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # One quick benchmark as a smoke gate: catches a serving-path
 # regression (or a broken benchmark harness) without the full sweep.

@@ -16,7 +16,11 @@ The fast path per request:
    window's **fused kernel** — or, for deployed *long windows*, ask the
    pre-aggregation manager for merged bucket states and scan only the
    raw head/tail spans (Section 5.1's query refinement).
-3. Project the output row.
+3. Windows left to the scan tier share one fetch per *scan group*
+   (sibling windows over the same partition of the same sources): the
+   group is fetched to its loosest scanning member's bound and each
+   member folds its own newest-first prefix.
+4. Project the output row.
 
 The engine keeps no per-request state across calls; window/preagg state
 lives in the storage layer and the ingest-time aggregators.  Statistics
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from bisect import bisect_right
+from operator import itemgetter
 from time import perf_counter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -46,6 +52,12 @@ __all__ = ["OnlineEngine", "EngineStats"]
 _COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "preagg_bucket_merges",
                    "preagg_raw_rows", "join_lookups", "shared_scan_hits",
                    "incremental_hits", "incremental_fallbacks")
+
+#: One window's scan work: (name, window, router key, preagg slots).
+_ScanWork = Tuple[str, CompiledWindow, Any, Mapping[int, PreAggregator]]
+
+_TS = itemgetter(0)
+_ROW = itemgetter(1)
 
 #: Shared empty slot map for windows with no pre-aggregation — never
 #: mutated (the request path only iterates and membership-tests it), so
@@ -239,19 +251,19 @@ class OnlineEngine:
             raise ExecutionError(
                 "request tuple filtered out by WHERE predicate")
 
-        # Window aggregates, with row fetches shared between windows that
-        # the compiler recognised as identical definitions.
+        # Window aggregates.  Each window's tier is settled first; the
+        # windows left to the scan tier then share one row fetch per
+        # scan group (see :meth:`_scan_windows`).
         aggregate_values: List[Any] = [None] * compiled.aggregate_count
-        fetched: Dict[str, List[List[Row]]] = {}
+        scanning: List[_ScanWork] = []
         for name, window in compiled.windows.items():
             if not window.aggregates:
                 continue
             if deadline is not None:
                 deadline.check("request")
-            canonical = compiled.merged_windows.get(name, name)
             slots_src = preagg.get(name) if preagg is not None else None
-            # Keyed by the window's own name: merged siblings share a
-            # scan but carry distinct aggregate slots.
+            # Keyed by the window's own name: grouped siblings share a
+            # fetch but carry distinct aggregate slots.
             state = incremental.get(name) \
                 if incremental is not None else None
             router_key = None
@@ -295,21 +307,9 @@ class OnlineEngine:
                         counters.incremental_fallbacks += 1
                         counters.note_window(name, hit=False)
                 if results is None:
-                    scan_started = perf_counter() \
-                        if router is not None else 0.0
-                    blocks_before = counters.scan_blocks
-                    if canonical not in fetched:
-                        fetched[canonical] = self._window_blocks(
-                            compiled, window, validated, counters,
-                            shared_fetch, canonical)
-                    results = self._fold_window(window, fetched[canonical])
-                    if router is not None:
-                        router.observe_scan(
-                            name, router_key,
-                            (perf_counter() - scan_started) * 1_000.0,
-                            counters.scan_blocks - blocks_before)
-                for slot, value in results.items():
-                    if slot not in preagg_slots:
+                    scanning.append((name, window, router_key, preagg_slots))
+                else:
+                    for slot, value in results.items():
                         aggregate_values[slot] = value
             if preagg_slots:
                 preagg_started = perf_counter() \
@@ -321,6 +321,10 @@ class OnlineEngine:
                     router.observe_preagg(
                         name,
                         (perf_counter() - preagg_started) * 1_000.0)
+        if scanning:
+            self._scan_windows(compiled, scanning, validated, counters,
+                               shared_fetch, aggregate_values, router,
+                               deadline)
         extended = combined_tuple + tuple(aggregate_values)
         projected = compiled.project(extended)
         self.stats.apply(counters)
@@ -370,13 +374,12 @@ class OnlineEngine:
                 "request tuple filtered out by WHERE predicate")
 
         aggregate_values: List[Any] = [None] * compiled.aggregate_count
-        fetched: Dict[str, List[List[Row]]] = {}
+        scanning: List[_ScanWork] = []
         for name, window in compiled.windows.items():
             if not window.aggregates:
                 continue
             if deadline is not None:
                 deadline.check("request")
-            canonical = compiled.merged_windows.get(name, name)
             slots_src = preagg.get(name) if preagg is not None else None
             state = incremental.get(name) \
                 if incremental is not None else None
@@ -429,34 +432,9 @@ class OnlineEngine:
                         counters.note_window(name, hit=False)
                         self._m_incr_fallbacks.inc()
                 if results is None:
-                    scan_started = perf_counter() \
-                        if router is not None else 0.0
-                    blocks_before = counters.scan_blocks
-                    if canonical not in fetched:
-                        scanned_before = counters.rows_scanned
-                        with tracer.span("window.scan", window=name) as span:
-                            fetched[canonical] = self._window_blocks(
-                                compiled, window, validated, counters,
-                                shared_fetch, canonical)
-                            span.set_tag(rows=sum(
-                                len(block)
-                                for block in fetched[canonical]))
-                        self._m_rows_scanned.inc(
-                            counters.rows_scanned - scanned_before)
-                        self._m_scan_blocks.inc(
-                            counters.scan_blocks - blocks_before)
-                    blocks = fetched[canonical]
-                    with tracer.span("agg.fold", window=name,
-                                     rows=sum(len(block)
-                                              for block in blocks)):
-                        results = self._fold_window(window, blocks)
-                    if router is not None:
-                        router.observe_scan(
-                            name, router_key,
-                            (perf_counter() - scan_started) * 1_000.0,
-                            counters.scan_blocks - blocks_before)
-                for slot, value in results.items():
-                    if slot not in preagg_slots:
+                    scanning.append((name, window, router_key, preagg_slots))
+                else:
+                    for slot, value in results.items():
                         aggregate_values[slot] = value
             if preagg_slots:
                 preagg_started = perf_counter() \
@@ -481,6 +459,10 @@ class OnlineEngine:
                     router.observe_preagg(
                         name,
                         (perf_counter() - preagg_started) * 1_000.0)
+        if scanning:
+            self._scan_windows(compiled, scanning, validated, counters,
+                               shared_fetch, aggregate_values, router,
+                               deadline, tracer)
         extended = combined_tuple + tuple(aggregate_values)
         with tracer.span("encode"):
             projected = compiled.project(extended)
@@ -524,98 +506,183 @@ class OnlineEngine:
         rows = [row for block in blocks for row in block]
         return window.compute_naive(rows)
 
-    def _window_blocks(self, compiled: CompiledQuery,
-                       window: CompiledWindow, request_row: Row,
-                       counters: _RequestCounters,
-                       shared: Optional[Dict[Any, List[List[Row]]]] = None,
-                       cache_name: Optional[str] = None) -> List[List[Row]]:
-        """Fetch a window's rows as newest-first blocks, request row first.
+    def _scan_windows(self, compiled: CompiledQuery,
+                      scanning: List[_ScanWork], request_row: Row,
+                      counters: _RequestCounters,
+                      shared: Optional[Dict[Any, Any]],
+                      values: List[Any], router: Optional[Any],
+                      deadline: Optional[Any],
+                      tracer: Optional[Any] = None) -> None:
+        """Answer the request's scan-tier windows, one fetch per group.
 
-        With ``shared`` (one dict per micro-batch), the *stored* row
-        blocks of a scan are cached under ``(window, partition key,
-        anchor ts)`` and reused by later requests in the batch that
-        resolve to the identical scan — the request row itself is
-        prepended per request, so requests sharing a key/timestamp but
+        ``scanning`` holds the windows whose tier is already settled as
+        a scan.  Each scan group is fetched once, to the loosest bound
+        among *these* members — a sibling answered by incremental state
+        or pre-aggregation never widens the fetch — and each member cuts
+        its own prefix of the newest-first rows: by count for ROWS, by
+        a bisect over the rows' timestamps for ROWS_RANGE.  MAXSIZE and
+        EXCLUDE CURRENT_ROW then apply per window.  The naive
+        ``block_scan=False`` path keeps one fetch per window, so it
+        stays an independent oracle.  ``tracer`` (traced body only)
+        adds the ``window.scan``/``agg.fold`` spans and scan metrics.
+        """
+        groups = compiled.scan_groups if self._block_scan else None
+        bounds: Dict[str, Optional[int]] = {}
+        for name, window, _key, _slots in scanning:
+            group = groups[name] if groups is not None else name
+            span = _frame_span(window.plan)
+            loosest = bounds.get(group, -1)
+            if loosest is not None and (span is None or span > loosest):
+                bounds[group] = span
+        fetched: Dict[str, Tuple[int, List[List[Row]],
+                                 Optional[List[int]], float]] = {}
+        for name, window, router_key, preagg_slots in scanning:
+            plan = window.plan
+            group = groups[name] if groups is not None else name
+            bound = bounds[group]
+            started = perf_counter() if router is not None else 0.0
+            entry = fetched.get(group)
+            reused = entry is not None
+            if entry is None:
+                if deadline is not None:
+                    deadline.check("request")
+                # A range group with siblings keeps the rows' timestamps
+                # so a narrower member can bisect its cut.
+                keep_ts = groups is not None and plan.is_range_frame \
+                    and len(compiled.group_members[group]) > 1
+                if tracer is None:
+                    anchor_ts, stored, neg_ts = self._fetch_group(
+                        compiled, window, request_row, counters, shared,
+                        group, bound, keep_ts)
+                else:
+                    scanned_before = counters.rows_scanned
+                    blocks_before = counters.scan_blocks
+                    with tracer.span("window.scan",
+                                     window=name) as scan_span:
+                        anchor_ts, stored, neg_ts = self._fetch_group(
+                            compiled, window, request_row, counters, shared,
+                            group, bound, keep_ts)
+                        scan_span.set_tag(rows=sum(len(block)
+                                                   for block in stored))
+                    self._m_rows_scanned.inc(
+                        counters.rows_scanned - scanned_before)
+                    self._m_scan_blocks.inc(
+                        counters.scan_blocks - blocks_before)
+                fetch_ms = (perf_counter() - started) * 1_000.0 \
+                    if router is not None else 0.0
+                entry = fetched[group] = (anchor_ts, stored, neg_ts, fetch_ms)
+            anchor_ts, stored, neg_ts, fetch_ms = entry
+            span = _frame_span(plan)
+            if span != bound:  # a narrower member cuts its prefix
+                if plan.is_range_frame:
+                    # Rows with ts >= anchor - span, i.e. -ts <= span - anchor.
+                    span = bisect_right(neg_ts, span - anchor_ts)
+                stored = _cap_blocks(stored, span)
+            blocks = stored if plan.exclude_current_row \
+                else [[request_row]] + stored
+            if plan.maxsize is not None:
+                blocks = _cap_blocks(blocks, plan.maxsize)
+            if tracer is None:
+                results = self._fold_window(window, blocks)
+            else:
+                with tracer.span("agg.fold", window=name,
+                                 rows=sum(len(block) for block in blocks)):
+                    results = self._fold_window(window, blocks)
+            if router is not None:
+                # Charged as if the window scanned alone: a sibling that
+                # reuses the group's fetch pays its fetch time and counts
+                # the blocks it folded.
+                elapsed = (perf_counter() - started) * 1_000.0
+                router.observe_scan(
+                    name, router_key,
+                    elapsed + fetch_ms if reused else elapsed, len(stored))
+            for slot, value in results.items():
+                if slot not in preagg_slots:
+                    values[slot] = value
+
+    def _fetch_group(self, compiled: CompiledQuery, window: CompiledWindow,
+                     request_row: Row, counters: _RequestCounters,
+                     shared: Optional[Dict[Any, Any]], group: str,
+                     bound: Optional[int], keep_ts: bool
+                     ) -> Tuple[int, List[List[Row]], Optional[List[int]]]:
+        """Fetch one scan group's stored rows to ``bound``.
+
+        ``bound`` is the loosest scanning member's frame span (see
+        :func:`_frame_span`).  Returns the anchor timestamp, the
+        newest-first stored row blocks (the request row is not among
+        them) and, with ``keep_ts``, the rows' negated timestamps.
+
+        With ``shared`` (one dict per micro-batch), a fetch is cached
+        under ``(group, partition key, anchor ts, bound)`` and reused by
+        later requests in the batch that resolve to the identical fetch
+        — never by one that needs a wider bound.  The request row is
+        added per request, so requests sharing a key/timestamp but
         carrying different payloads stay correct.
         """
         plan = window.plan
-        primary = compiled.plan.table
         key = window.partition_key(request_row)
         anchor_ts = normalize_ts(window.order_value(request_row))
-        if plan.is_range_frame:
-            end_ts: Optional[int] = anchor_ts - plan.range_preceding_ms
-            limit: Optional[int] = None
-        elif plan.rows_preceding is not None:
-            end_ts = None
-            limit = plan.rows_preceding - 1  # preceding rows only
-        else:
-            end_ts = None
-            limit = None
-
-        cache_key = (cache_name, key, anchor_ts) \
-            if shared is not None and cache_name is not None else None
-        stored = shared.get(cache_key) if cache_key is not None else None
-        if stored is None:
+        cache_key = (group, key, anchor_ts, bound) \
+            if shared is not None else None
+        fetch = shared.get(cache_key) if cache_key is not None else None
+        if fetch is None:
             # INSTANCE_NOT_IN_WINDOW: stored instance-table rows never
             # enter the window — only union-table rows (the request row
             # itself still participates unless EXCLUDE CURRENT_ROW).
             sources = [] if plan.instance_not_in_window \
-                else [self._tables[primary]]
+                else [self._tables[compiled.plan.table]]
             sources.extend(self._tables[union_table]
                            for union_table in plan.union_tables)
-            stored = self._fetch_stored_blocks(
-                sources, plan, key, anchor_ts, end_ts, limit)
-            counters.rows_scanned += sum(len(block) for block in stored)
-            counters.scan_blocks += len(stored)
+            end_ts, limit = (anchor_ts - bound, None) \
+                if plan.is_range_frame else (None, bound)
+            fetch = self._fetch_stored_blocks(
+                sources, plan, key, anchor_ts, end_ts, limit, keep_ts)
+            counters.rows_scanned += sum(len(block) for block in fetch[0])
+            counters.scan_blocks += len(fetch[0])
             if cache_key is not None:
-                shared[cache_key] = stored
+                shared[cache_key] = fetch
         else:
             counters.shared_scan_hits += 1
             self._m_shared_scans.inc()
-
-        blocks: List[List[Row]] = [] if plan.exclude_current_row \
-            else [[request_row]]
-        blocks.extend(stored)
-        if plan.maxsize is not None:
-            blocks = _cap_blocks(blocks, plan.maxsize)
-        return blocks
+        return anchor_ts, fetch[0], fetch[1]
 
     def _fetch_stored_blocks(self, sources: List[Any], plan: Any, key: Any,
                              anchor_ts: int, end_ts: Optional[int],
-                             limit: Optional[int]) -> List[List[Row]]:
+                             limit: Optional[int], keep_ts: bool
+                             ) -> Tuple[List[List[Row]], Optional[List[int]]]:
         """Scan the window's sources into newest-first row blocks.
 
-        Single-source windows stream the storage layer's blocks through
-        unchanged (no merge step at all); unions fall back to a k-way
-        merge over block cursors.  Storage objects without the chunked
-        API (e.g. cluster table views, which merge partitions remotely)
-        degrade to the per-row iterator path.
+        Returns the blocks and, with ``keep_ts``, the rows' negated
+        timestamps in the same order (ascending, ready to bisect).  No
+        source is asked for more than ``limit`` rows, since none can
+        contribute more.  Single-source windows stream the storage
+        layer's blocks through unchanged; unions merge with one stable
+        sort (:func:`_merge_blocks_newest_first`).  Storage objects
+        without the chunked API degrade to the per-row iterator path.
         """
         if limit is not None and limit <= 0:
-            return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
+            # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
+            return [], [] if keep_ts else None
         if self._block_scan:
             block_scans = [getattr(source, "window_scan_blocks", None)
                            for source in sources]
             if all(scan is not None for scan in block_scans):
-                if len(block_scans) == 1:
-                    return [[pair[1] for pair in block]
-                            for block in block_scans[0](
-                                plan.partition_columns, plan.order_column,
-                                key, start_ts=anchor_ts, end_ts=end_ts,
-                                limit=limit)]
-                merged = _merge_blocks_newest_first(
-                    [iter(scan(plan.partition_columns, plan.order_column,
-                               key, start_ts=anchor_ts, end_ts=end_ts))
-                     for scan in block_scans], limit=limit)
-                return [merged] if merged else []
+                scans = [scan(plan.partition_columns, plan.order_column,
+                              key, start_ts=anchor_ts, end_ts=end_ts,
+                              limit=limit)
+                         for scan in block_scans]
+                if len(scans) == 1:
+                    return _split_pairs(list(scans[0]), keep_ts)
+                merged = _merge_blocks_newest_first(scans, limit)
+                return _split_pairs([merged] if merged else [], keep_ts)
         iterators = [
             source.window_scan(plan.partition_columns, plan.order_column,
-                               key, start_ts=anchor_ts, end_ts=end_ts)
+                               key, start_ts=anchor_ts, end_ts=end_ts,
+                               limit=limit)
             for source in sources
         ]
-        merged_rows = [pair[1] for pair
-                       in _merge_newest_first(iterators, limit=limit)]
-        return [merged_rows] if merged_rows else []
+        merged = _merge_newest_first(iterators, limit=limit)
+        return _split_pairs([merged] if merged else [], keep_ts)
 
     # ------------------------------------------------------------------
     # pre-aggregation path
@@ -738,41 +805,39 @@ def _merge_newest_first(iterators: List[Iterator[Tuple[int, Row]]],
 
 def _merge_blocks_newest_first(
         block_iterators: List[Iterator[List[Tuple[int, Row]]]],
-        limit: Optional[int]) -> List[Row]:
-    """k-way merge over *block* streams, producing one merged row list.
+        limit: Optional[int]) -> List[Tuple[int, Row]]:
+    """Merge newest-first *block* streams into one ``(ts, row)`` list.
 
-    Cursors advance by list indexing within each source's current block,
-    so the per-row cost is a few tuple compares — no generator resumes
-    until a source exhausts a block.  Ties keep the earlier source first
-    (the primary table leads), matching :func:`_merge_newest_first`.
+    The sources' pairs are concatenated in source order and sorted by
+    timestamp with one stable C-level sort, so equal timestamps keep
+    source order (the primary table leads) and each source's own order,
+    matching :func:`_merge_newest_first`.
     """
-    blocks: List[Optional[List[Tuple[int, Row]]]] = []
-    positions: List[int] = []
-    for iterator in block_iterators:
-        blocks.append(next(iterator, None))
-        positions.append(0)
-    merged: List[Row] = []
-    append = merged.append
-    while True:
-        best_slot = -1
-        best_ts: Optional[int] = None
-        for slot, block in enumerate(blocks):
-            if block is None:
-                continue
-            ts = block[positions[slot]][0]
-            if best_ts is None or ts > best_ts:
-                best_ts = ts
-                best_slot = slot
-        if best_slot < 0:
-            return merged
-        block = blocks[best_slot]
-        position = positions[best_slot]
-        append(block[position][1])  # type: ignore[index]
-        if limit is not None and len(merged) >= limit:
-            return merged
-        position += 1
-        if position >= len(block):  # type: ignore[arg-type]
-            blocks[best_slot] = next(block_iterators[best_slot], None)
-            positions[best_slot] = 0
-        else:
-            positions[best_slot] = position
+    pairs: List[Tuple[int, Row]] = []
+    for blocks in block_iterators:
+        for block in blocks:
+            pairs += block
+    pairs.sort(key=_TS, reverse=True)
+    if limit is not None:
+        del pairs[limit:]
+    return pairs
+
+
+def _split_pairs(pair_blocks: List[List[Tuple[int, Row]]], keep_ts: bool
+                 ) -> Tuple[List[List[Row]], Optional[List[int]]]:
+    """Strip ``(ts, row)`` blocks to row blocks, optionally keeping the
+    negated timestamps (ascending for newest-first rows)."""
+    rows = [list(map(_ROW, block)) for block in pair_blocks]
+    if not keep_ts:
+        return rows, None
+    return rows, [-pair[0] for block in pair_blocks for pair in block]
+
+
+def _frame_span(plan: Any) -> Optional[int]:
+    """A frame's fetch bound: stored rows for ROWS (the request row is
+    not stored), lookback ms for ROWS_RANGE, ``None`` when unbounded."""
+    if plan.is_range_frame:
+        return plan.range_preceding_ms
+    if plan.rows_preceding is not None:
+        return plan.rows_preceding - 1
+    return None

@@ -4,8 +4,9 @@ This is the reproduction of the paper's LLVM/JIT layer.  Three of its
 compilation optimisations appear here explicitly:
 
 * **Parsing optimisation** — identical aggregate calls were already merged
-  by the planner; identical window definitions share one
-  :class:`CompiledWindow` evaluation.
+  by the planner; windows that read the same partition of the same
+  sources form one *scan group* (``CompiledQuery.scan_groups``), whose
+  rows the online engine fetches once per request.
 * **Cycle binding** — aggregates over the same argument expressions share
   *intermediate state*: ``sum``/``count``/``avg`` over one column fold a
   single ``(total, count)`` accumulator; ``min``/``max``/``distinct_count``
@@ -403,19 +404,25 @@ class CompiledQuery:
             window_scope.add_alias(plan.table, plan.table_alias)
 
         self.windows: Dict[str, CompiledWindow] = {}
-        window_signatures: Dict[Tuple[Any, ...], str] = {}
-        self.merged_windows: Dict[str, str] = {}
+        group_leaders: Dict[Tuple[Any, ...], str] = {}
+        #: window name → its scan group (the group's first window).
+        self.scan_groups: Dict[str, str] = {}
+        #: scan group → member window names, in definition order.
+        self.group_members: Dict[str, Tuple[str, ...]] = {}
         for name, window_plan in plan.windows.items():
-            # Parsing optimisation: identical window definitions (same
-            # partition/order/frame/union) share a signature; engines may
-            # fetch their rows once.
-            spec = window_plan.spec
-            signature = (spec.partition_by, spec.order_by, spec.frame_type,
-                         spec.start, spec.end, spec.union_tables,
-                         spec.exclude_current_row, spec.maxsize)
-            original = window_signatures.setdefault(signature, name)
-            if original != name:
-                self.merged_windows[name] = original
+            # Cycle binding one layer down: windows that read the same
+            # partition of the same sources in the same order, bounded by
+            # the same kind of frame, form one scan group.  An engine
+            # fetches a group's rows once, to the loosest member's
+            # bound, and each member cuts its own newest-first prefix.
+            signature = (window_plan.partition_columns,
+                         window_plan.order_column, window_plan.union_tables,
+                         window_plan.instance_not_in_window,
+                         window_plan.is_range_frame)
+            group = group_leaders.setdefault(signature, name)
+            self.scan_groups[name] = group
+            self.group_members[group] = \
+                self.group_members.get(group, ()) + (name,)
             self.windows[name] = CompiledWindow(
                 window_plan, plan.table_schema, window_scope)
 

@@ -358,6 +358,47 @@ class TestEngineSatellites:
         assert stats == {"w": {"hits": 1, "fallbacks": 0}}
 
     @pytest.mark.parametrize("observability", [False, True])
+    def test_grouped_windows_report_the_blocks_they_fold(self,
+                                                         observability):
+        """Two windows in one scan group share one fetch, and each still
+        calibrates the scan tier with the blocks it folded (not zero)."""
+        db = OpenMLDB(observability=observability)
+        db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
+                   "INDEX(KEY=k, TS=ts))")
+        deployment = db.deploy(
+            "feat",
+            "SELECT k, sum(a) OVER wide AS s_wide, "
+            "sum(a) OVER narrow AS s_narrow FROM t WINDOW "
+            "wide AS (PARTITION BY k ORDER BY ts "
+            "ROWS_RANGE BETWEEN 2000 PRECEDING AND CURRENT ROW), "
+            "narrow AS (PARTITION BY k ORDER BY ts "
+            "ROWS_RANGE BETWEEN 500 PRECEDING AND CURRENT ROW)",
+            adaptive=True,
+            router_config=RouterConfig(tick_interval=10 ** 9))
+        assert deployment.compiled.scan_groups["narrow"] == "wide"
+        for i in range(20):
+            db.insert("t", (KEYS[i % 2], 1_000 + i * 10, i))
+        db.flush_preagg()
+        router = deployment.router
+        observed = []
+        observe_scan = router.observe_scan
+
+        def record(window, key, ms, blocks):
+            observed.append((window, blocks))
+            observe_scan(window, key, ms, blocks)
+
+        router.observe_scan = record
+        blocks_before = db.online_engine.stats.scan_blocks
+        # Untracked key: both windows fall back to the scan tier.
+        features = db.request_row("feat", ("u1", 1_600, 0))
+        assert db.online_engine.stats.scan_blocks - blocks_before == 1
+        assert sorted(observed) == [("narrow", 1), ("wide", 1)]
+        # wide: all ten u1 rows (0 + 2 + ... + 18); narrow: ts >= 1100.
+        assert tuple(features) == ("u1", 90, 10 + 12 + 14 + 16 + 18)
+        for window in ("wide", "narrow"):
+            assert router._profiles[window].scan_blocks.value == 1.0
+
+    @pytest.mark.parametrize("observability", [False, True])
     def test_empty_preagg_mapping_matches_none(self, observability):
         """Satellite 1: the empty-preagg fast path (no per-request dict
         copy) must answer identically to passing no preagg at all, in

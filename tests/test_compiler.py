@@ -1,4 +1,4 @@
-"""Tests for plan compilation: cycle binding, caching, merged windows."""
+"""Tests for plan compilation: cycle binding, caching, scan groups."""
 
 import pytest
 
@@ -73,24 +73,61 @@ class TestCycleBinding:
         assert results[0] == pytest.approx(0.5)
 
 
-class TestMergedWindows:
-    def test_identical_definitions_share_signature(self, catalog):
-        compiled = compiled_for(
-            "SELECT sum(v) OVER w1 AS a, sum(w) OVER w2 AS b FROM t "
-            "WINDOW w1 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), "
-            "w2 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW)", catalog)
-        assert compiled.merged_windows == {"w2": "w1"}
+def _window_sql(*frames):
+    """Two or more windows over ``t`` whose clauses are ``frames``."""
+    items = ", ".join(f"sum(v) OVER w{i} AS a{i}"
+                      for i in range(len(frames)))
+    clauses = ", ".join(f"w{i} AS ({frame})"
+                        for i, frame in enumerate(frames))
+    return f"SELECT {items} FROM t WINDOW {clauses}"
 
-    def test_different_frames_not_merged(self, catalog):
-        compiled = compiled_for(
-            "SELECT sum(v) OVER w1 AS a, sum(w) OVER w2 AS b FROM t "
-            "WINDOW w1 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), "
-            "w2 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)", catalog)
-        assert compiled.merged_windows == {}
+
+class TestScanGroups:
+    def test_identical_definitions_share_group(self, catalog):
+        frame = ("PARTITION BY key ORDER BY ts "
+                 "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW")
+        compiled = compiled_for(_window_sql(frame, frame), catalog)
+        assert compiled.scan_groups == {"w0": "w0", "w1": "w0"}
+        assert compiled.group_members == {"w0": ("w0", "w1")}
+
+    def test_different_row_frames_share_group(self, catalog):
+        # Frame sizes, MAXSIZE and EXCLUDE CURRENT_ROW are cut per
+        # member, so they do not split a group.
+        compiled = compiled_for(_window_sql(
+            "PARTITION BY key ORDER BY ts "
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+            "PARTITION BY key ORDER BY ts "
+            "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW MAXSIZE 3",
+            "PARTITION BY key ORDER BY ts "
+            "ROWS BETWEEN 50 PRECEDING AND CURRENT ROW "
+            "EXCLUDE CURRENT_ROW"), catalog)
+        assert set(compiled.scan_groups.values()) == {"w0"}
+        assert compiled.group_members == {"w0": ("w0", "w1", "w2")}
+
+    def test_range_frames_share_group_apart_from_rows(self, catalog):
+        compiled = compiled_for(_window_sql(
+            "PARTITION BY key ORDER BY ts "
+            "ROWS_RANGE BETWEEN 1m PRECEDING AND CURRENT ROW",
+            "PARTITION BY key ORDER BY ts "
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+            "PARTITION BY key ORDER BY ts "
+            "ROWS_RANGE BETWEEN 1h PRECEDING AND CURRENT ROW"), catalog)
+        assert compiled.scan_groups == {"w0": "w0", "w1": "w1", "w2": "w0"}
+
+    @pytest.mark.parametrize("prefix, other_prefix, suffix", [
+        ("", "", ""),
+        ("", "UNION t2 ", ""),
+        ("UNION t2 ", "UNION t2 ", " INSTANCE_NOT_IN_WINDOW"),
+    ], ids=["partition", "union", "instance_not_in_window"])
+    def test_partition_and_sources_split_groups(self, catalog, prefix,
+                                                other_prefix, suffix):
+        frame = "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW"
+        partition = "cat" if not other_prefix else "key"
+        compiled = compiled_for(_window_sql(
+            f"{prefix}PARTITION BY key ORDER BY ts {frame}",
+            f"{other_prefix}PARTITION BY {partition} ORDER BY ts "
+            f"{frame}{suffix}"), catalog)
+        assert compiled.scan_groups == {"w0": "w0", "w1": "w1"}
 
 
 class TestCompilationCache:

@@ -11,6 +11,31 @@ from repro.storage.memtable import MemTable
 from repro.online.engine import OnlineEngine
 
 
+class SpyTable:
+    """Delegates to a table, recording the bounds of every block scan."""
+
+    def __init__(self, table):
+        self._table = table
+        self.scans = []
+
+    def window_scan_blocks(self, *args, **kwargs):
+        self.scans.append(kwargs)
+        return self._table.window_scan_blocks(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+
+class _HitState:
+    """Incremental window state that always answers with ``results``."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def compute(self, request_row):
+        return self.results
+
+
 def build_engine(sql, tables):
     catalog = {name: table.schema for name, table in tables.items()}
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
@@ -108,6 +133,23 @@ class TestWindowUnionRequests:
         # horizon 150: trades 200, 300 + orders 250 + request.
         assert row == (62.0,)
 
+    def test_each_union_source_bounded_by_limit(self, trades):
+        schema = trades.schema
+        orders = MemTable("orders", schema, [IndexDef(("sym",), "ts")])
+        for ts in range(5, 400, 50):  # 8 rows, more than the frame needs
+            orders.insert(("A", ts, 1.0, 1))
+        spies = {"trades": SpyTable(trades), "orders": SpyTable(orders)}
+        sql = ("SELECT sum(px) OVER w AS total FROM trades WINDOW w AS "
+               "(UNION orders PARTITION BY sym ORDER BY ts "
+               "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW)")
+        engine, compiled = build_engine(sql, spies)
+        row = engine.execute_request(compiled, ("A", 400, 5.0, 1))
+        # Request + orders 355, 305 + trades 300 + orders 255.
+        assert row == (5.0 + 1.0 + 1.0 + 30.0 + 1.0,)
+        for spy in spies.values():
+            assert [scan["limit"] for scan in spy.scans] == [4]
+        assert engine.stats.rows_scanned == 4
+
     def test_instance_not_in_window(self, trades):
         schema = trades.schema
         orders = MemTable("orders", schema, [IndexDef(("sym",), "ts")])
@@ -201,6 +243,68 @@ class TestSharedWindowFetch:
         engine.execute_request(compiled, ("A", 400, 40.0, 1))
         # 3 stored rows scanned once, not twice.
         assert engine.stats.rows_scanned == 3
+
+    NESTED_ROWS = ("SELECT sum(px) OVER narrow AS a, sum(px) OVER wide AS b "
+                   "FROM trades WINDOW "
+                   "narrow AS (PARTITION BY sym ORDER BY ts "
+                   "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
+                   "wide AS (PARTITION BY sym ORDER BY ts "
+                   "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW)")
+
+    def test_nested_rows_windows_fetch_once(self, trades):
+        spy = SpyTable(trades)
+        engine, compiled = build_engine(self.NESTED_ROWS, {"trades": spy})
+        row = engine.execute_request(compiled, ("A", 400, 40.0, 1))
+        assert row == (70.0, 100.0)  # 40 + 30; 40 + 30 + 20 + 10
+        assert [scan["limit"] for scan in spy.scans] == [9]
+        assert engine.stats.rows_scanned == 3
+
+    def test_nested_range_windows_fetch_once(self, trades):
+        sql = ("SELECT sum(px) OVER narrow AS a, count(px) OVER wide AS b "
+               "FROM trades WINDOW "
+               "narrow AS (PARTITION BY sym ORDER BY ts "
+               "ROWS_RANGE BETWEEN 150 PRECEDING AND CURRENT ROW), "
+               "wide AS (PARTITION BY sym ORDER BY ts "
+               "ROWS_RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW)")
+        spy = SpyTable(trades)
+        engine, compiled = build_engine(sql, {"trades": spy})
+        # narrow: ts >= 250 → 300 and the request; wide: all three.
+        row = engine.execute_request(compiled, ("A", 400, 40.0, 1))
+        assert row == (70.0, 4)
+        assert [scan["end_ts"] for scan in spy.scans] == [400 - 1000]
+        assert engine.stats.rows_scanned == 3
+
+    def test_incremental_sibling_does_not_widen_fetch(self, trades):
+        spy = SpyTable(trades)
+        engine, compiled = build_engine(self.NESTED_ROWS, {"trades": spy})
+        wide_slot = compiled.windows["wide"].aggregates[0].slot
+        row = engine.execute_request(
+            compiled, ("A", 400, 40.0, 1),
+            incremental={"wide": _HitState({wide_slot: -1.0})})
+        assert row == (70.0, -1.0)
+        # Only the narrow window scanned, so only its bound was fetched.
+        assert [scan["limit"] for scan in spy.scans] == [1]
+        assert engine.stats.rows_scanned == 1
+
+    def test_micro_batch_never_reuses_narrower_fetch(self, trades):
+        spy = SpyTable(trades)
+        engine, compiled = build_engine(self.NESTED_ROWS, {"trades": spy})
+        wide_slot = compiled.windows["wide"].aggregates[0].slot
+        request = ("A", 400, 40.0, 1)
+        shared = {}
+        # Same (key, anchor) twice in one batch: first with the wide
+        # window served elsewhere (narrow fetch), then with both
+        # scanning (wide fetch), then narrow again (reused).
+        engine.execute_request(
+            compiled, request, shared_fetch=shared,
+            incremental={"wide": _HitState({wide_slot: -1.0})})
+        both = engine.execute_request(compiled, request, shared_fetch=shared)
+        engine.execute_request(
+            compiled, request, shared_fetch=shared,
+            incremental={"wide": _HitState({wide_slot: -1.0})})
+        assert both == (70.0, 100.0)
+        assert [scan["limit"] for scan in spy.scans] == [1, 9]
+        assert engine.stats.shared_scan_hits == 1
 
     def test_stats_accumulate(self, trades):
         sql = ("SELECT sum(px) OVER w AS a FROM trades WINDOW w AS "
