@@ -2,8 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint verify verify-docs bench bench-smoke recover-smoke \
-	offline-smoke elastic-smoke adaptive-smoke slo-smoke examples \
-	profile perf-selftest
+	offline-smoke elastic-smoke adaptive-smoke slo-smoke preagg-smoke \
+	examples profile perf-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +22,7 @@ lint:
 	fi
 
 verify: lint test recover-smoke offline-smoke elastic-smoke \
-	adaptive-smoke slo-smoke bench-smoke perf-selftest
+	adaptive-smoke slo-smoke preagg-smoke bench-smoke perf-selftest
 
 # Extract and execute every fenced python block in README.md and
 # docs/*.md — documentation code must actually run.
@@ -74,6 +74,13 @@ adaptive-smoke:
 slo-smoke:
 	$(PYTHON) -m pytest tests/test_slo.py tests/test_streams.py -q \
 		-k smoke
+
+# Long-window round trip: one pre-aggregator per window answers every
+# mergeable aggregate byte-identically to one-aggregate deployments,
+# and the fraud example prints its per-window aggregator stats.
+preagg-smoke:
+	$(PYTHON) -m pytest tests/test_preagg_window.py -q -k smoke
+	$(PYTHON) examples/fraud_detection.py
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done

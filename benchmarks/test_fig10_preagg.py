@@ -61,7 +61,7 @@ def test_fig10_preagg_scaling(benchmark):
         raw_ms.append((time.perf_counter() - started) / 5 * 1_000)
 
         aggregator = PreAggregator(
-            "sum", (), arg_fn=lambda row: (row[2],),
+            [("sum", ())], [lambda row: (row[2],)],
             key_fn=lambda row: row[0], ts_fn=lambda row: row[1],
             bucket_ms=HOUR, levels=2, factor=24)
         aggregator.backfill(list(table.rows()))
@@ -70,7 +70,7 @@ def test_fig10_preagg_scaling(benchmark):
             refined = aggregator.query("k", anchor - lookback, anchor)
         preagg_ms.append((time.perf_counter() - started) / 5 * 1_000)
         # Correctness: bucket state + raw edge spans == full raw scan.
-        total = refined.state[0] if refined.state else 0.0
+        total = refined.state[0][0] if refined.state else 0.0
         for span in (refined.head_span, refined.tail_span):
             if span is not None:
                 span_total, _count = _raw_request(table, span[1],

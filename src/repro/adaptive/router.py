@@ -221,7 +221,7 @@ class ExecutionRouter:
     def bind_host(self, host: Any) -> None:
         """Attach the deployment: must expose ``incrementals`` (window →
         :class:`~repro.online.incremental.IncrementalWindowState`),
-        ``preaggs`` (window → slot → aggregator) and
+        ``preaggs`` (window → its pre-aggregator) and
         ``rebucket_preagg(window, bucket_ms) -> bool``."""
         self._host = host
 
@@ -522,10 +522,10 @@ class ExecutionRouter:
         desired = self.desired_bucket_ms(window)
         if desired is None:
             return
-        slots = self._host.preaggs.get(window)
-        if not slots:
+        aggregator = self._host.preaggs.get(window)
+        if aggregator is None:
             return
-        current = next(iter(slots.values())).bucket_ms
+        current = aggregator.bucket_ms
         factor = self.config.rebucket_factor
         if current / desired < factor and desired / current < factor:
             return  # hysteresis: close enough, leave it alone

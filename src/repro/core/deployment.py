@@ -8,13 +8,15 @@ pre-aggregation (Section 5.1, Figure 11) for the named windows.
 Deploying with long windows:
 
 1. verifies the windows exist and use time-range frames;
-2. creates one :class:`~repro.online.preagg.PreAggregator` per *mergeable*
-   aggregate bound to those windows (non-mergeable aggregates keep the
-   raw-scan path — correctness never depends on pre-aggregation);
-3. **backfills** the aggregators from existing table data (the paper's
+2. creates one :class:`~repro.online.preagg.PreAggregator` per long
+   window, whose buckets hold the vector of the window's *mergeable*
+   aggregates' states and which knows the slots it answers
+   (non-mergeable aggregates keep the raw-scan path — correctness never
+   depends on pre-aggregation);
+3. **backfills** each aggregator from existing table data (the paper's
    "slightly higher data loading overhead");
-4. registers an ``update_aggr`` binlog closure so subsequent inserts
-   maintain the aggregators asynchronously.
+4. registers one ``update_aggr`` binlog closure per aggregator so
+   subsequent inserts maintain it asynchronously, one absorb per row.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class Deployment:
         sql: original SQL text (for introspection/EXPLAIN).
         compiled: the compiled plan executed per request.
         long_windows: parsed long-window options, empty when disabled.
-        preaggs: window name → {aggregate slot → PreAggregator}; the
-            online engine answers these slots from pre-aggregation.
+        preaggs: window name → its PreAggregator; the online engine
+            answers the aggregator's slots from pre-aggregation.
         incrementals: canonical window name → ingest-time running window
             state (Section 5.2); the online engine answers whole windows
             from these on warm keys, falling back to scans otherwise.
@@ -56,7 +58,7 @@ class Deployment:
     sql: str
     compiled: CompiledQuery
     long_windows: Tuple[LongWindowOption, ...] = ()
-    preaggs: Dict[str, Dict[int, PreAggregator]] = dataclasses.field(
+    preaggs: Dict[str, PreAggregator] = dataclasses.field(
         default_factory=dict)
     incrementals: Dict[str, IncrementalWindowState] = dataclasses.field(
         default_factory=dict)
@@ -117,31 +119,30 @@ class Deployment:
                 raise DeploymentError(
                     "long-window pre-aggregation aggregates instance-table "
                     "rows, which INSTANCE_NOT_IN_WINDOW excludes")
-            slot_map: Dict[int, PreAggregator] = {}
-            for compiled_agg in window.aggregates:
-                aggregator = self._build_aggregator(
-                    window, compiled_agg, option, levels)
-                if aggregator is None:
-                    continue  # non-mergeable: stays on the raw path
-                if obs is not None and obs.enabled:
-                    aggregator.bind_obs(obs)
-                table = tables[self.compiled.plan.table]
-                aggregator.backfill(list(table.rows()))
-                register_updater(self.compiled.plan.table,
-                                 aggregator.make_update_closure())
-                slot_map[compiled_agg.slot] = aggregator
-            if slot_map:
-                self.preaggs[option.window] = slot_map
+            aggregator = self._build_aggregator(
+                option.window, window, option.bucket_ms, levels)
+            if aggregator is None:
+                continue  # nothing mergeable: the window scans
+            if obs is not None and obs.enabled:
+                aggregator.bind_obs(obs)
+            table_name = self.compiled.plan.table
+            aggregator.backfill(list(tables[table_name].rows()))
+            register_updater(table_name, aggregator.make_update_closure())
+            self.preaggs[option.window] = aggregator
         self.backfill_seconds = time.perf_counter() - started
 
     @staticmethod
-    def _build_aggregator(window, compiled_agg, option: LongWindowOption,
+    def _build_aggregator(name: str, window, bucket_ms: int,
                           levels: int) -> Optional[PreAggregator]:
+        """One aggregator over the window's mergeable aggregates, or None
+        when it has none."""
         from ..sql.functions import get_aggregate
 
-        binding = compiled_agg.binding
-        probe = get_aggregate(binding.func_name, *binding.constants)
-        if not probe.mergeable:
+        mergeable = [
+            compiled_agg for compiled_agg in window.aggregates
+            if get_aggregate(compiled_agg.binding.func_name,
+                             *compiled_agg.binding.constants).mergeable]
+        if not mergeable:
             return None
         order_position = window.order_position
 
@@ -149,9 +150,12 @@ class Deployment:
             return normalize_ts(row[position])
 
         return PreAggregator(
-            func_name=binding.func_name, constants=binding.constants,
-            arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
-            ts_fn=ts_fn, bucket_ms=option.bucket_ms, levels=levels)
+            functions=[(agg.binding.func_name, agg.binding.constants)
+                       for agg in mergeable],
+            extractors=[agg.arg_fn for agg in mergeable],
+            key_fn=window.partition_key, ts_fn=ts_fn, bucket_ms=bucket_ms,
+            levels=levels, slots=[agg.slot for agg in mergeable],
+            window=name)
 
     # ------------------------------------------------------------------
 
@@ -228,75 +232,61 @@ class Deployment:
     # -- adaptive host hooks (called from ExecutionRouter.tick) --------
 
     def rebucket_preagg(self, window_name: str, bucket_ms: int) -> bool:
-        """Swap a window's pre-aggregators for ones with a new width.
+        """Swap a window's pre-aggregator for one with a new width.
 
         The swap is answer-invariant or refused.  Protocol (the same
         caught-up + double-read discipline as
         :meth:`IncrementalWindowState.provision_key`):
 
-        1. read ``n0 = row_count``; require every current aggregator to
+        1. read ``n0 = row_count``; require the current aggregator to
            have absorbed ``>= n0`` rows — which proves every counted
            row's insert (and its closure registration snapshot)
            completed *before* this point, so no pending closure can
-           later feed the new aggregators a row the backfill already
+           later feed the new aggregator a row the backfill already
            replayed;
-        2. backfill fresh aggregators from a single log snapshot of
+        2. backfill a fresh aggregator from a single log snapshot of
            exactly ``n0`` rows;
-        3. register the new closures, then re-read ``row_count`` — a row
+        3. register the new closure, then re-read ``row_count`` — a row
            landing before registration would have bumped it, so on
-           mismatch the new closures are retired and the swap aborts
-           (the old aggregators never stopped, nothing was lost);
-        4. retire the old closures and publish the new slot map.
+           mismatch the new closure is retired and the swap aborts
+           (the old aggregator never stopped, nothing was lost);
+        4. retire the old closure and publish the new aggregator.
 
         Returns True when the swap happened; False means "retry a later
-        tick" and leaves the old aggregators serving.
+        tick" and leaves the old aggregator serving.
         """
         if self._tables is None or self._register_updater is None:
             return False
-        option = next((opt for opt in self.long_windows
-                       if opt.window == window_name), None)
-        old_slots = self.preaggs.get(window_name)
+        old = self.preaggs.get(window_name)
         window = self.compiled.windows.get(window_name)
-        if option is None or not old_slots or window is None:
+        if old is None or window is None:
             return False
-        if bucket_ms <= 0 \
-                or next(iter(old_slots.values())).bucket_ms == bucket_ms:
+        if bucket_ms <= 0 or old.bucket_ms == bucket_ms:
             return False
         table = self._tables[self.compiled.plan.table]
         before = table.row_count
-        if any(agg.rows_absorbed < before for agg in old_slots.values()):
+        if old.rows_absorbed < before:
             return False  # maintenance lag: the log snapshot could race
         rows = list(table.rows())
         if len(rows) != before:
             return False
-        sized = LongWindowOption(window=window_name, bucket_ms=bucket_ms)
-        new_slots: Dict[int, PreAggregator] = {}
-        for compiled_agg in window.aggregates:
-            if compiled_agg.slot not in old_slots:
-                continue
-            aggregator = self._build_aggregator(
-                window, compiled_agg, sized, self._preagg_levels)
-            if aggregator is None:
-                return False
-            if self._obs is not None and self._obs.enabled:
-                aggregator.bind_obs(self._obs)
-            aggregator.backfill(rows)
-            new_slots[compiled_agg.slot] = aggregator
-        if set(new_slots) != set(old_slots):
+        new = self._build_aggregator(window_name, window, bucket_ms,
+                                     self._preagg_levels)
+        if new is None or new.slots != old.slots:
             return False
-        for aggregator in new_slots.values():
-            self._register_updater(self.compiled.plan.table,
-                                   aggregator.make_update_closure())
+        if self._obs is not None and self._obs.enabled:
+            new.bind_obs(self._obs)
+        new.backfill(rows)
+        self._register_updater(self.compiled.plan.table,
+                               new.make_update_closure())
         if table.row_count != before:
             # An insert raced the registration: its closure snapshot may
-            # predate the new consumers.  Retire them and retry later —
-            # the old aggregators never stopped absorbing.
-            for aggregator in new_slots.values():
-                aggregator.retire()
+            # predate the new consumer.  Retire it and retry later — the
+            # old aggregator never stopped absorbing.
+            new.retire()
             return False
-        for aggregator in old_slots.values():
-            aggregator.retire()
-        self.preaggs[window_name] = new_slots
+        old.retire()
+        self.preaggs[window_name] = new
         return True
 
     def router_snapshot(self) -> Optional[Dict[str, Any]]:
@@ -322,8 +312,8 @@ class Deployment:
             name: state.key_count
             for name, state in self.incrementals.items()}
         stats["bucket_ms"] = {
-            name: next(iter(slots.values())).bucket_ms
-            for name, slots in self.preaggs.items() if slots}
+            name: aggregator.bucket_ms
+            for name, aggregator in self.preaggs.items()}
         return stats
 
     @property
@@ -344,9 +334,12 @@ class Deployment:
         return bool(self.preaggs)
 
     def preagg_stats(self) -> Dict[str, Dict[int, int]]:
-        """rows absorbed per (window, slot) — observability for Fig. 11."""
+        """rows absorbed per (window, slot) — observability for Fig. 11.
+
+        The slots of one window share one aggregator, so they report
+        the same count."""
         return {
             window: {slot: aggregator.rows_absorbed
-                     for slot, aggregator in slots.items()}
-            for window, slots in self.preaggs.items()
+                     for slot in aggregator.slots}
+            for window, aggregator in self.preaggs.items()
         }

@@ -98,18 +98,13 @@ class FunctionPartial(PartialAggregate):
         # drawdown's merge, for one, is algebraically sound for
         # pre-aggregation but not an exact fold continuation.
         self.exact_merge = bool(getattr(function, "merge_exact", True))
-
-    def init(self) -> Any:
-        return self._function.create()
-
-    def accumulate(self, state: Any, *values: Any) -> None:
-        self._function.add(state, *values)
-
-    def merge(self, older: Any, newer: Any) -> Any:
-        return self._function.merge(older, newer)
-
-    def finalize(self, state: Any) -> Any:
-        return self._function.result(state)
+        # The four steps are the function's own bound methods: the
+        # online pre-aggregation path runs them per bucket merge and
+        # per raw row, where a delegating frame would show.
+        self.init = function.create
+        self.accumulate = function.add
+        self.merge = function.merge
+        self.finalize = function.result
 
 
 class EwAvgPartial(PartialAggregate):
@@ -227,6 +222,12 @@ class WindowPartialState:
         self._partials = [make_partial(name, *constants)
                           for name, constants in functions]
         self._extractors = list(extractors)
+        # Bound once: the online pre-aggregation path accumulates per
+        # raw row and merges per bucket.
+        self._accumulates = [partial.accumulate
+                             for partial in self._partials]
+        self._steps = list(zip(self._accumulates, self._extractors))
+        self._merges = [partial.merge for partial in self._partials]
 
     @property
     def exact(self) -> bool:
@@ -237,17 +238,28 @@ class WindowPartialState:
         return [partial.init() for partial in self._partials]
 
     def accumulate_row(self, states: List[Any], row: Any) -> None:
-        for index, partial in enumerate(self._partials):
-            partial.accumulate(states[index],
-                               *self._extractors[index](row))
+        for state, (accumulate, extract) in zip(states, self._steps):
+            accumulate(state, *extract(row))
+
+    def extract(self, row: Any) -> List[Tuple[Any, ...]]:
+        """Every aggregate's argument tuple for one row."""
+        return [extract(row) for extract in self._extractors]
+
+    def accumulate_args(self, states: List[Any],
+                        args: List[Tuple[Any, ...]]) -> None:
+        """:meth:`accumulate_row` on arguments :meth:`extract` already
+        pulled — one extraction can feed several state vectors."""
+        for state, accumulate, values in zip(states, self._accumulates,
+                                             args):
+            accumulate(state, *values)
 
     def merge(self, older: List[Any], newer: List[Any]) -> List[Any]:
-        return [partial.merge(older[index], newer[index])
-                for index, partial in enumerate(self._partials)]
+        return [merge(old, new)
+                for merge, old, new in zip(self._merges, older, newer)]
 
     def finalize(self, states: List[Any]) -> List[Any]:
-        return [partial.finalize(states[index])
-                for index, partial in enumerate(self._partials)]
+        return [partial.finalize(state)
+                for partial, state in zip(self._partials, states)]
 
     @staticmethod
     def copy_states(states: List[Any]) -> List[Any]:

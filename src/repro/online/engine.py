@@ -53,16 +53,12 @@ _COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "preagg_bucket_merges",
                    "preagg_raw_rows", "join_lookups", "shared_scan_hits",
                    "incremental_hits", "incremental_fallbacks")
 
-#: One window's scan work: (name, window, router key, preagg slots).
-_ScanWork = Tuple[str, CompiledWindow, Any, Mapping[int, PreAggregator]]
+#: One window's scan work: (name, window, router key, the window's
+#: pre-aggregator or None — its slots are answered elsewhere).
+_ScanWork = Tuple[str, CompiledWindow, Any, Optional[PreAggregator]]
 
 _TS = itemgetter(0)
 _ROW = itemgetter(1)
-
-#: Shared empty slot map for windows with no pre-aggregation — never
-#: mutated (the request path only iterates and membership-tests it), so
-#: every request can alias it instead of allocating a fresh dict.
-_NO_PREAGG: Dict[int, "PreAggregator"] = {}
 
 
 class _RequestCounters:
@@ -189,7 +185,7 @@ class OnlineEngine:
 
     def execute_request(
             self, compiled: CompiledQuery, request_row: Sequence[Any],
-            preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]] = None,
+            preagg: Optional[Mapping[str, PreAggregator]] = None,
             shared_fetch: Optional[Dict[Any, List[List[Row]]]] = None,
             incremental: Optional[Mapping[str, Any]] = None,
             router: Optional[Any] = None
@@ -199,8 +195,8 @@ class OnlineEngine:
         Args:
             compiled: the compiled feature script.
             request_row: a tuple matching the primary table's schema.
-            preagg: window name → {aggregate slot → PreAggregator}; slots
-                present here are answered from pre-aggregation, the rest
+            preagg: window name → the window's PreAggregator; the slots
+                it holds are answered from pre-aggregation, the rest
                 from raw window scans.
             shared_fetch: micro-batching hook — a dict shared across the
                 requests of one batch; window scans that resolve to the
@@ -261,7 +257,7 @@ class OnlineEngine:
                 continue
             if deadline is not None:
                 deadline.check("request")
-            slots_src = preagg.get(name) if preagg is not None else None
+            aggregator = preagg.get(name) if preagg else None
             # Keyed by the window's own name: grouped siblings share a
             # fetch but carry distinct aggregate slots.
             state = incremental.get(name) \
@@ -270,28 +266,22 @@ class OnlineEngine:
             if router is not None:
                 router_key = window.partition_key(validated)
                 router.note_request(name, router_key)
-                if slots_src:
+                if aggregator is not None:
                     # The requested span informs bucket sizing whatever
                     # tier ends up serving this request.
                     router.observe_span(
                         name, window.plan.range_preceding_ms or 0)
                 tier = router.decide(name, router_key,
                                      has_incremental=state is not None,
-                                     has_preagg=bool(slots_src))
+                                     has_preagg=aggregator is not None)
                 if tier != "preagg":
-                    slots_src = None
+                    aggregator = None
                 if tier == "scan":
                     state = None
-            # Empty path: alias the shared immutable map instead of
-            # allocating a dict per window per request.
-            preagg_slots: Mapping[int, PreAggregator] = \
-                dict(slots_src) if slots_src else _NO_PREAGG
-            raw_aggregates = [compiled_agg for compiled_agg
-                              in window.aggregates
-                              if compiled_agg.slot not in preagg_slots]
-            if raw_aggregates or not preagg_slots:
+            if aggregator is None \
+                    or len(aggregator.slots) < len(window.aggregates):
                 results = None
-                if state is not None and not preagg_slots:
+                if state is not None and aggregator is None:
                     if router is not None:
                         started = perf_counter()
                         results = state.compute(validated)
@@ -307,16 +297,15 @@ class OnlineEngine:
                         counters.incremental_fallbacks += 1
                         counters.note_window(name, hit=False)
                 if results is None:
-                    scanning.append((name, window, router_key, preagg_slots))
+                    scanning.append((name, window, router_key, aggregator))
                 else:
                     for slot, value in results.items():
                         aggregate_values[slot] = value
-            if preagg_slots:
+            if aggregator is not None:
                 preagg_started = perf_counter() \
                     if router is not None else 0.0
-                for slot, aggregator in preagg_slots.items():
-                    aggregate_values[slot] = self._preagg_value(
-                        compiled, window, aggregator, validated, counters)
+                self._preagg_values(compiled, window, aggregator, validated,
+                                    aggregate_values, counters)
                 if router is not None:
                     router.observe_preagg(
                         name,
@@ -337,7 +326,7 @@ class OnlineEngine:
 
     def _execute_request_traced(
             self, compiled: CompiledQuery, request_row: Sequence[Any],
-            preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]],
+            preagg: Optional[Mapping[str, PreAggregator]],
             shared_fetch: Optional[Dict[Any, List[List[Row]]]] = None,
             incremental: Optional[Mapping[str, Any]] = None,
             router: Optional[Any] = None
@@ -380,14 +369,14 @@ class OnlineEngine:
                 continue
             if deadline is not None:
                 deadline.check("request")
-            slots_src = preagg.get(name) if preagg is not None else None
+            aggregator = preagg.get(name) if preagg else None
             state = incremental.get(name) \
                 if incremental is not None else None
             router_key = None
             if router is not None:
                 router_key = window.partition_key(validated)
                 router.note_request(name, router_key)
-                if slots_src:
+                if aggregator is not None:
                     # The requested span informs bucket sizing whatever
                     # tier ends up serving this request.
                     router.observe_span(
@@ -395,22 +384,16 @@ class OnlineEngine:
                 with tracer.span("router.decide", window=name) as span:
                     tier = router.decide(name, router_key,
                                          has_incremental=state is not None,
-                                         has_preagg=bool(slots_src))
+                                         has_preagg=aggregator is not None)
                     span.set_tag(tier=tier)
                 if tier != "preagg":
-                    slots_src = None
+                    aggregator = None
                 if tier == "scan":
                     state = None
-            # Empty path: alias the shared immutable map instead of
-            # allocating a dict per window per request.
-            preagg_slots: Mapping[int, PreAggregator] = \
-                dict(slots_src) if slots_src else _NO_PREAGG
-            raw_aggregates = [compiled_agg for compiled_agg
-                              in window.aggregates
-                              if compiled_agg.slot not in preagg_slots]
-            if raw_aggregates or not preagg_slots:
+            if aggregator is None \
+                    or len(aggregator.slots) < len(window.aggregates):
                 results = None
-                if state is not None and not preagg_slots:
+                if state is not None and aggregator is None:
                     with tracer.span("incremental.lookup",
                                      window=name) as span:
                         if router is not None:
@@ -432,29 +415,26 @@ class OnlineEngine:
                         counters.note_window(name, hit=False)
                         self._m_incr_fallbacks.inc()
                 if results is None:
-                    scanning.append((name, window, router_key, preagg_slots))
+                    scanning.append((name, window, router_key, aggregator))
                 else:
                     for slot, value in results.items():
                         aggregate_values[slot] = value
-            if preagg_slots:
+            if aggregator is not None:
                 preagg_started = perf_counter() \
                     if router is not None else 0.0
-                for slot, aggregator in preagg_slots.items():
-                    merges_before = counters.preagg_bucket_merges
-                    raw_before = counters.preagg_raw_rows
-                    with tracer.span("preagg.lookup", window=name,
-                                     func=aggregator.func_name) as span:
-                        aggregate_values[slot] = self._preagg_value(
-                            compiled, window, aggregator, validated,
-                            counters)
-                        span.set_tag(
-                            bucket_merges=(counters.preagg_bucket_merges
-                                           - merges_before),
-                            raw_rows=counters.preagg_raw_rows - raw_before)
-                    self._m_preagg_merges.inc(
-                        counters.preagg_bucket_merges - merges_before)
-                    self._m_preagg_raw.inc(
-                        counters.preagg_raw_rows - raw_before)
+                merges_before = counters.preagg_bucket_merges
+                raw_before = counters.preagg_raw_rows
+                with tracer.span("preagg.lookup", window=name) as span:
+                    self._preagg_values(compiled, window, aggregator,
+                                        validated, aggregate_values,
+                                        counters)
+                    span.set_tag(
+                        bucket_merges=(counters.preagg_bucket_merges
+                                       - merges_before),
+                        raw_rows=counters.preagg_raw_rows - raw_before)
+                self._m_preagg_merges.inc(
+                    counters.preagg_bucket_merges - merges_before)
+                self._m_preagg_raw.inc(counters.preagg_raw_rows - raw_before)
                 if router is not None:
                     router.observe_preagg(
                         name,
@@ -536,7 +516,7 @@ class OnlineEngine:
                 bounds[group] = span
         fetched: Dict[str, Tuple[int, List[List[Row]],
                                  Optional[List[int]], float]] = {}
-        for name, window, router_key, preagg_slots in scanning:
+        for name, window, router_key, aggregator in scanning:
             plan = window.plan
             group = groups[name] if groups is not None else name
             bound = bounds[group]
@@ -596,6 +576,7 @@ class OnlineEngine:
                 router.observe_scan(
                     name, router_key,
                     elapsed + fetch_ms if reused else elapsed, len(stored))
+            preagg_slots = aggregator.slots if aggregator is not None else ()
             for slot, value in results.items():
                 if slot not in preagg_slots:
                     values[slot] = value
@@ -687,10 +668,18 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # pre-aggregation path
 
-    def _preagg_value(self, compiled: CompiledQuery, window: CompiledWindow,
-                      aggregator: PreAggregator, request_row: Row,
-                      counters: _RequestCounters) -> Any:
-        """Answer one long-window aggregate via query refinement."""
+    def _preagg_values(self, compiled: CompiledQuery,
+                       window: CompiledWindow, aggregator: PreAggregator,
+                       request_row: Row, values: List[Any],
+                       counters: _RequestCounters) -> None:
+        """Answer a long window's pre-aggregated slots into ``values``.
+
+        One query refinement and one scan of each raw edge serve every
+        aggregate of the window: the pieces are state vectors, so each
+        aggregate still merges in the order head (oldest raw edge),
+        buckets oldest→newest, tail (newest raw edge, includes the open
+        bucket), then the request row.
+        """
         plan = window.plan
         if not plan.is_range_frame:
             raise ExecutionError(
@@ -702,66 +691,58 @@ class OnlineEngine:
         counters.preagg_bucket_merges += sum(
             refined.buckets_used.values())
 
-        function = aggregator.function
-        state = refined.state
-        # Raw spans: head (oldest edge) merged *before* the bucket state,
-        # tail (newest edge, includes the open bucket) merged after.
-        head_state = self._raw_span_state(compiled, window, aggregator, key,
-                                          refined.head_span, counters)
-        tail_state = self._raw_span_state(compiled, window, aggregator, key,
-                                          refined.tail_span, counters)
-        merged = None
-        for piece in (head_state, state, tail_state):
-            if piece is None:
-                continue
-            merged = piece if merged is None else function.merge(
-                merged, piece)
+        partials = aggregator.partials
+        merged = self._raw_span_states(compiled, window, aggregator, key,
+                                       refined.head_span, counters)
+        for piece in (refined.state,
+                      self._raw_span_states(compiled, window, aggregator,
+                                            key, refined.tail_span,
+                                            counters)):
+            if piece is not None:
+                merged = piece if merged is None \
+                    else partials.merge(merged, piece)
         # The request tuple itself is part of the window.
         if not plan.exclude_current_row:
-            request_state = function.create()
-            function.add(request_state, *aggregator.extract_args(request_row))
-            merged = request_state if merged is None else function.merge(
-                merged, request_state)
+            request_states = partials.init()
+            partials.accumulate_row(request_states, request_row)
+            merged = request_states if merged is None \
+                else partials.merge(merged, request_states)
         if merged is None:
-            merged = function.create()
-        return function.result(merged)
+            merged = partials.init()
+        for slot, value in zip(aggregator.slots, partials.finalize(merged)):
+            values[slot] = value
 
-    def _raw_span_state(self, compiled: CompiledQuery,
-                        window: CompiledWindow,
-                        aggregator: PreAggregator, key: Any,
-                        span: Optional[Tuple[int, int]],
-                        counters: _RequestCounters) -> Any:
+    def _raw_span_states(self, compiled: CompiledQuery,
+                         window: CompiledWindow, aggregator: PreAggregator,
+                         key: Any, span: Optional[Tuple[int, int]],
+                         counters: _RequestCounters) -> Optional[List[Any]]:
+        """Fold one raw edge span, oldest → newest, into a state vector;
+        None when the span is absent or holds no row."""
         if span is None:
             return None
         plan = window.plan
         table = self._tables[compiled.plan.table]
-        function = aggregator.function
-        state = None
-        add = function.add
-        extract = aggregator.extract_args
         scan_blocks = getattr(table, "window_scan_blocks", None) \
             if self._block_scan else None
         if scan_blocks is not None:
             blocks = list(scan_blocks(plan.partition_columns,
                                       plan.order_column, key,
                                       start_ts=span[1], end_ts=span[0]))
-            counters.preagg_raw_rows += sum(len(block) for block in blocks)
-            for block_index in range(len(blocks) - 1, -1, -1):
-                block = blocks[block_index]
-                for pair_index in range(len(block) - 1, -1, -1):
-                    if state is None:
-                        state = function.create()
-                    add(state, *extract(block[pair_index][1]))
-            return state
-        rows = list(table.window_scan(plan.partition_columns,
-                                      plan.order_column, key,
-                                      start_ts=span[1], end_ts=span[0]))
-        counters.preagg_raw_rows += len(rows)
-        for _ts, row in reversed(rows):  # oldest → newest
-            if state is None:
-                state = function.create()
-            add(state, *extract(row))
-        return state
+            pairs = [pair for block in reversed(blocks)
+                     for pair in reversed(block)]
+        else:
+            pairs = list(table.window_scan(plan.partition_columns,
+                                           plan.order_column, key,
+                                           start_ts=span[1], end_ts=span[0]))
+            pairs.reverse()
+        counters.preagg_raw_rows += len(pairs)
+        if not pairs:
+            return None
+        partials = aggregator.partials
+        states = partials.init()
+        for _ts, row in pairs:
+            partials.accumulate_row(states, row)
+        return states
 
 
 def _cap_blocks(blocks: List[List[Row]], maxsize: int) -> List[List[Row]]:

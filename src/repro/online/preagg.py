@@ -17,20 +17,24 @@ binlog replicator with an ``update_aggr`` closure (Section 5.1), so the
 insert fast path never waits on aggregation.  Failure recovery replays
 the binlog suffix.
 
-Only *mergeable* aggregates (associative states) are eligible; the
-deployment layer falls back to raw scans for the rest.
+There is one aggregator per long window, not per aggregate: a bucket
+holds the window's vector of mergeable partial states, so each row is
+absorbed once and each request runs one refinement and one head/tail
+scan.  Only *mergeable* aggregates (associative states) join the
+vector; the deployment layer leaves the rest on the raw-scan path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import (Any, Callable, Dict, List, Optional, Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeploymentError
 from ..obs import NULL_COUNTER, Observability
 from ..schema import Row
-from ..sql.functions import AggregateFunction, get_aggregate
+from ..offline.partial import WindowPartialState
+from ..sql.functions import get_aggregate
 from .binlog import IngestConsumer
 from .segment_tree import SegmentTree
 
@@ -88,14 +92,15 @@ def parse_long_windows(option: str) -> Tuple[LongWindowOption, ...]:
 class PreAggQueryResult:
     """Outcome of query refinement for one request window.
 
-    ``state`` merges every bucket used (None when no bucket applied);
+    ``state`` merges every bucket used — a state vector with one entry
+    per pre-aggregated aggregate, or None when no bucket applied;
     ``head_span``/``tail_span`` are the raw ``(lo, hi)`` inclusive spans —
     oldest edge and newest edge respectively — the engine must still scan;
     ``buckets_used`` counts bucket merges per level (observability for the
     ablation benches).
     """
 
-    state: Any
+    state: Optional[List[Any]]
     head_span: Optional[Tuple[int, int]]
     tail_span: Optional[Tuple[int, int]]
     buckets_used: Dict[int, int]
@@ -104,8 +109,8 @@ class PreAggQueryResult:
 class _KeyLevelBuckets:
     """Bucket states for one (key, level): a segment tree over time slots.
 
-    Leaf ``i`` holds the state of bucket ``base + i * size``; gaps are
-    identity leaves so bucket index arithmetic stays O(1).
+    Leaf ``i`` holds the state vector of bucket ``base + i * size``; gaps
+    are identity leaves so bucket index arithmetic stays O(1).
     """
 
     def __init__(self, size_ms: int,
@@ -114,7 +119,9 @@ class _KeyLevelBuckets:
         self.base: Optional[int] = None
         self.tree = SegmentTree(merge, identity=None)
 
-    def _leaf_for(self, bucket_start: int) -> int:
+    def leaf_for(self, ts: int) -> int:
+        """The leaf of the bucket holding ``ts``, growing the tree."""
+        bucket_start = (ts // self.size_ms) * self.size_ms
         if self.base is None:
             self.base = bucket_start
         if bucket_start < self.base:
@@ -131,11 +138,6 @@ class _KeyLevelBuckets:
         while leaf >= len(self.tree):
             self.tree.append(None)
         return leaf
-
-    def add(self, ts: int, apply_fn: Callable[[Any], Any]) -> None:
-        bucket_start = (ts // self.size_ms) * self.size_ms
-        leaf = self._leaf_for(bucket_start)
-        self.tree.update(leaf, apply_fn(self.tree.get(leaf)))
 
     def query(self, aligned_lo: int, aligned_hi: int) -> Tuple[Any, int]:
         """Merge buckets covering ``[aligned_lo, aligned_hi)``.
@@ -154,35 +156,52 @@ class _KeyLevelBuckets:
 
 
 class PreAggregator(IngestConsumer):
-    """Multi-level pre-aggregation for one (window, aggregate) pair.
+    """Multi-level pre-aggregation for one long window.
+
+    Every bucket holds the window's vector of mergeable partial states
+    (a :class:`~repro.offline.partial.WindowPartialState` vector, one
+    entry per pre-aggregated aggregate), so a row is absorbed once and a
+    request runs one refinement whatever the number of aggregates.
 
     Args:
-        func_name/constants: the aggregate to maintain (must be mergeable).
-        arg_fn: row → aggregate argument tuple.
+        functions: ``(name, constants)`` per aggregate; all must be
+            mergeable.
+        extractors: row → argument tuple, one per aggregate.
         key_fn: row → partition key.
         ts_fn: row → timestamp (ms).
         bucket_ms: base-level bucket width.
         levels: number of levels; level *i* buckets are
             ``bucket_ms * factor**i`` wide.
         factor: level widening factor (paper example: hour→day→month).
+        slots: the window's aggregate slots the vector answers, in
+            order (default ``0 .. len(functions) - 1``).
+        window: the window's name (labels the metric series).
     """
 
-    def __init__(self, func_name: str, constants: Tuple[Any, ...],
-                 arg_fn: Callable[[Row], Tuple[Any, ...]],
+    def __init__(self, functions: Sequence[Tuple[str, Tuple[Any, ...]]],
+                 extractors: Sequence[Callable[[Row], Tuple[Any, ...]]],
                  key_fn: Callable[[Row], Any],
                  ts_fn: Callable[[Row], int],
                  bucket_ms: int,
                  levels: int = 2,
-                 factor: int = _DEFAULT_LEVEL_FACTOR) -> None:
-        self._function: AggregateFunction = get_aggregate(
-            func_name, *constants)
-        if not self._function.mergeable:
+                 factor: int = _DEFAULT_LEVEL_FACTOR,
+                 slots: Optional[Sequence[int]] = None,
+                 window: str = "") -> None:
+        if not functions or len(functions) != len(extractors):
             raise DeploymentError(
-                f"aggregate {func_name!r} is not mergeable and cannot use "
-                "long-window pre-aggregation")
-        self.func_name = func_name
-        self.constants = constants
-        self._arg_fn = arg_fn
+                "a pre-aggregator needs at least one aggregate and one "
+                "extractor per aggregate")
+        for func_name, constants in functions:
+            if not get_aggregate(func_name, *constants).mergeable:
+                raise DeploymentError(
+                    f"aggregate {func_name!r} is not mergeable and cannot "
+                    "use long-window pre-aggregation")
+        self.slots: Tuple[int, ...] = tuple(
+            range(len(functions)) if slots is None else slots)
+        if len(self.slots) != len(functions):
+            raise DeploymentError("one slot per pre-aggregated aggregate")
+        self.window = window
+        self.partials = WindowPartialState(functions, extractors)
         self._key_fn = key_fn
         self._ts_fn = ts_fn
         if bucket_ms <= 0:
@@ -201,7 +220,7 @@ class PreAggregator(IngestConsumer):
 
     def bind_obs(self, obs: Observability) -> None:
         """Attach metric series (called when a deployment owns obs)."""
-        metrics = obs.registry.labels(func=self.func_name)
+        metrics = obs.registry.labels(window=self.window)
         self._m_absorbed = metrics.counter("preagg.rows_absorbed")
         self._m_queries = metrics.counter("preagg.queries")
         self._m_bucket_merges = metrics.counter("preagg.bucket_merges")
@@ -211,15 +230,6 @@ class PreAggregator(IngestConsumer):
         """Base-level bucket width (the knob the adaptive layer tunes)."""
         return self.level_sizes[0]
 
-    @property
-    def function(self) -> AggregateFunction:
-        """The maintained aggregate (engines merge raw edges through it)."""
-        return self._function
-
-    def extract_args(self, row: Row) -> Tuple[Any, ...]:
-        """Apply the aggregate's argument extractor to a raw row."""
-        return self._arg_fn(row)
-
     # ------------------------------------------------------------------
     # maintenance (runs on the replicator worker thread)
 
@@ -227,22 +237,21 @@ class PreAggregator(IngestConsumer):
         """Fold one row into every level's bucket for its key."""
         key = self._key_fn(row)
         ts = self._ts_fn(row)
-        args = self._arg_fn(row)
-        function = self._function
-
-        def apply_fn(state: Any) -> Any:
-            if state is None:
-                state = function.create()
-            function.add(state, *args)
-            return state
-
+        partials = self.partials
+        args = partials.extract(row)
         with self._lock:
             for level, size in enumerate(self.level_sizes):
                 buckets = self._buckets.get((key, level))
                 if buckets is None:
-                    buckets = _KeyLevelBuckets(size, function.merge)
+                    buckets = _KeyLevelBuckets(size, partials.merge)
                     self._buckets[(key, level)] = buckets
-                buckets.add(ts, apply_fn)
+                leaf = buckets.leaf_for(ts)
+                tree = buckets.tree
+                state = tree.get(leaf)
+                if state is None:
+                    state = partials.init()
+                partials.accumulate_args(state, args)
+                tree.update(leaf, state)
             self.rows_absorbed += 1
         self._m_absorbed.inc()
 
@@ -267,12 +276,12 @@ class PreAggregator(IngestConsumer):
                 key, len(self.level_sizes) - 1, lo, hi, buckets_used)
         if buckets_used:
             self._m_bucket_merges.inc(sum(buckets_used.values()))
-        state: Any = None
+        merge = self.partials.merge
+        state: Optional[List[Any]] = None
         for piece in states:
             if piece is None:
                 continue
-            state = piece if state is None else self._function.merge(
-                state, piece)
+            state = piece if state is None else merge(state, piece)
         return PreAggQueryResult(state=state, head_span=head,
                                  tail_span=tail, buckets_used=buckets_used)
 
@@ -346,6 +355,7 @@ class PreAggregator(IngestConsumer):
         """
         new_size = self.level_sizes[-1] * factor
         new_level = len(self.level_sizes)
+        merge = self.partials.merge
         with self._lock:
             self.level_sizes.append(new_size)
             self._level_hits[new_level] = 0
@@ -353,20 +363,21 @@ class PreAggregator(IngestConsumer):
             for (key, level), buckets in list(self._buckets.items()):
                 if level != 0 or buckets.base is None:
                     continue
-                target = _KeyLevelBuckets(new_size, self._function.merge)
+                target = _KeyLevelBuckets(new_size, merge)
                 self._buckets[(key, new_level)] = target
                 for leaf in range(len(buckets.tree)):
-                    state = buckets.tree.get(leaf)
-                    if state is None:
+                    piece = buckets.tree.get(leaf)
+                    if piece is None:
                         continue
-                    bucket_ts = buckets.base + leaf * buckets.size_ms
-
-                    def apply_fn(existing: Any, piece=state) -> Any:
-                        if existing is None:
-                            return piece
-                        return self._function.merge(existing, piece)
-
-                    target.add(bucket_ts, apply_fn)
+                    target_leaf = target.leaf_for(
+                        buckets.base + leaf * buckets.size_ms)
+                    existing = target.tree.get(target_leaf)
+                    # A lone piece is copied: absorb mutates leaves in
+                    # place, and a shared one would count rows twice.
+                    target.tree.update(
+                        target_leaf,
+                        WindowPartialState.copy_states(piece)
+                        if existing is None else merge(existing, piece))
         return new_level
 
     def maybe_adapt(self, min_queries: int = 100,

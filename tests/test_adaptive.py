@@ -250,14 +250,14 @@ class TestPromotionDemotion:
 
 class TestRebucket:
     def make(self, bucket_ms=86_400_000):
-        class Slot:
+        class FakeAggregator:
             def __init__(self, width):
                 self.bucket_ms = width
 
         config = RouterConfig(min_span_samples=4, target_bucket_merges=16,
                               min_bucket_ms=1_000)
         router, host, clock = make_router(config=config)
-        host.preaggs = {"w": {0: Slot(bucket_ms)}}
+        host.preaggs = {"w": FakeAggregator(bucket_ms)}
         return router, host, clock
 
     def test_wildly_oversized_bucket_resized_to_span_p50(self):
@@ -400,9 +400,9 @@ class TestEngineSatellites:
 
     @pytest.mark.parametrize("observability", [False, True])
     def test_empty_preagg_mapping_matches_none(self, observability):
-        """Satellite 1: the empty-preagg fast path (no per-request dict
-        copy) must answer identically to passing no preagg at all, in
-        both the traced and the untraced body."""
+        """An empty window → pre-aggregator mapping must answer
+        identically to passing no preagg at all, in both the traced and
+        the untraced body."""
         db = OpenMLDB(observability=observability)
         db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
                    "INDEX(KEY=k, TS=ts))")
@@ -414,7 +414,7 @@ class TestEngineSatellites:
         baseline = db.online_engine.execute_request(
             deployment.compiled, request, preagg=None)
         empty = db.online_engine.execute_request(
-            deployment.compiled, request, preagg={"w": {}})
+            deployment.compiled, request, preagg={})
         assert empty == baseline
 
 

@@ -179,5 +179,5 @@ class TestDeploymentIntrospection:
             "(PARTITION BY k ORDER BY ts "
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1m")
-        aggregator = next(iter(deployment.preaggs["w"].values()))
+        aggregator = deployment.preaggs["w"]
         assert aggregator.rows_absorbed == 25

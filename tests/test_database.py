@@ -188,7 +188,7 @@ class TestDeployAndRequest:
         db.deploy("lw", sql, long_windows="w:1h")
         db.insert("trades", ("A", 3_600_000, 5.0, 1))
         db.flush_preagg()
-        aggregator = next(iter(db.deployments["lw"].preaggs["w"].values()))
+        aggregator = db.deployments["lw"].preaggs["w"]
         assert aggregator.rows_absorbed == 1
 
 

@@ -405,10 +405,35 @@ class TestSingleNodeWiring:
                   long_windows="w:1h")
         db.request("lw", ("a", 200 * 60_000, 1.0))
         registry = db.obs.registry
-        assert registry.get("preagg.queries", func="sum").value == 1
-        assert registry.get("preagg.bucket_merges", func="sum").value > 0
+        assert registry.get("preagg.queries", window="w").value == 1
+        assert registry.get("preagg.bucket_merges", window="w").value > 0
         names = {span["name"] for span in db.obs.tracer.last_trace()}
         assert "preagg.lookup" in names
+
+    def test_one_preagg_lookup_per_long_window(self):
+        db = OpenMLDB(observability=True)
+        db.execute(
+            "CREATE TABLE t (k string, ts timestamp, v double,"
+            " INDEX(KEY=k, TS=ts))")
+        for k in range(200):
+            db.insert("t", ("a", k * 60_000, 1.0))
+        db.deploy("lw", "SELECT k, sum(v) OVER w AS s, count(v) OVER w AS n,"
+                        " max(v) OVER w AS m FROM t "
+                        "WINDOW w AS (PARTITION BY k ORDER BY ts "
+                        "  ROWS_RANGE BETWEEN 1d PRECEDING "
+                        "  AND CURRENT ROW)",
+                  long_windows="w:1h")
+        db.flush_preagg()
+        db.request("lw", ("a", 200 * 60_000 + 30_000, 1.0))
+        lookups = [span for span in db.obs.tracer.last_trace()
+                   if span["name"] == "preagg.lookup"]
+        assert len(lookups) == 1
+        assert lookups[0]["tags"]["window"] == "w"
+        assert lookups[0]["tags"]["bucket_merges"] > 0
+        assert lookups[0]["tags"]["raw_rows"] > 0
+        registry = db.obs.registry
+        assert registry.get("preagg.rows_absorbed", window="w").value == 200
+        assert registry.get("preagg.queries", window="w").value == 1
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ DAY = 24 * HOUR
 def make_aggregator(func="sum", constants=(), bucket_ms=HOUR, levels=2,
                     factor=24):
     return PreAggregator(
-        func_name=func, constants=constants,
-        arg_fn=lambda row: (row[2],),
+        functions=[(func, constants)],
+        extractors=[lambda row: (row[2],)],
         key_fn=lambda row: row[0],
         ts_fn=lambda row: row[1],
         bucket_ms=bucket_ms, levels=levels, factor=factor)
@@ -64,7 +64,7 @@ class TestAbsorbAndQuery:
         assert result.head_span is None
         assert result.tail_span is None
         reference = raw_sum(rows, "k", 0, 50 * HOUR - 1)
-        assert result.state[0] == pytest.approx(reference)
+        assert result.state[0][0] == pytest.approx(reference)
 
     def test_unaligned_edges_reported(self):
         aggregator = make_aggregator()
@@ -81,7 +81,7 @@ class TestAbsorbAndQuery:
         aggregator.backfill(rows)
         lo, hi = HOUR // 3, 99 * HOUR + 7
         result = aggregator.query("k", lo, hi)
-        total = result.state[0] if result.state else 0.0
+        total = result.state[0][0] if result.state else 0.0
         for span in (result.head_span, result.tail_span):
             if span:
                 total += raw_sum(rows, "k", span[0], span[1])
@@ -99,22 +99,22 @@ class TestAbsorbAndQuery:
         aggregator.backfill(rows_for("b", 20, step_ms=HOUR))
         result_a = aggregator.query("a", 0, 100 * HOUR)
         result_b = aggregator.query("b", 0, 100 * HOUR)
-        assert result_a.state[1] == 50  # count per key, not mixed
-        assert result_b.state[1] == 20
+        assert result_a.state[0][1] == 50  # count per key, not mixed
+        assert result_b.state[0][1] == 20
 
     def test_out_of_order_rows_land_in_old_buckets(self):
         aggregator = make_aggregator()
         aggregator.absorb(("k", 5 * HOUR, 1.0))
         aggregator.absorb(("k", 1 * HOUR, 2.0))  # late arrival
         result = aggregator.query("k", 0, 10 * HOUR)
-        assert result.state[0] == pytest.approx(3.0)
+        assert result.state[0][0] == pytest.approx(3.0)
 
     def test_rebase_for_much_older_row(self):
         aggregator = make_aggregator(levels=1)
         aggregator.absorb(("k", 100 * HOUR, 1.0))
         aggregator.absorb(("k", 2 * HOUR, 5.0))  # before the base bucket
         result = aggregator.query("k", 0, 200 * HOUR)
-        assert result.state[0] == pytest.approx(6.0)
+        assert result.state[0][0] == pytest.approx(6.0)
 
 
 class TestHierarchy:
@@ -127,7 +127,8 @@ class TestHierarchy:
         span = (0, 499 * HOUR - 1)
         fine_result = fine_only.query("k", *span)
         multi_result = hierarchical.query("k", *span)
-        assert fine_result.state[0] == pytest.approx(multi_result.state[0])
+        assert fine_result.state[0][0] \
+            == pytest.approx(multi_result.state[0][0])
         assert sum(multi_result.buckets_used.values()) \
             < sum(fine_result.buckets_used.values())
         assert 1 in multi_result.buckets_used  # day level actually used
@@ -140,9 +141,20 @@ class TestHierarchy:
         level = aggregator.add_coarser_level(factor=24)
         assert level == 1
         after = aggregator.query("k", 0, 300 * HOUR)
-        assert after.state[0] == pytest.approx(before.state[0])
+        assert after.state[0][0] == pytest.approx(before.state[0][0])
         assert sum(after.buckets_used.values()) \
             < sum(before.buckets_used.values())
+
+    def test_rows_after_add_coarser_level_count_once(self):
+        # A coarse bucket built from one fine bucket must not share its
+        # state: later absorbs would then land in it twice.
+        aggregator = make_aggregator(levels=1)
+        aggregator.absorb(("k", 10, 1.0))
+        aggregator.add_coarser_level(factor=24)
+        aggregator.absorb(("k", 20, 1.0))
+        assert aggregator.query("k", 0, HOUR - 1).state[0] == [2.0, 2]
+        assert aggregator.query("k", 0, 24 * HOUR - 1).state[0] \
+            == [2.0, 2]
 
     def test_maybe_adapt_triggers_on_wide_queries(self):
         aggregator = make_aggregator(levels=1)
@@ -174,11 +186,47 @@ class TestMergeableOnly:
                                 ("topn_frequency", (3,)),
                                 ("drawdown", ())):
             aggregator = PreAggregator(
-                func_name=func, constants=constants,
-                arg_fn=lambda row: (row[2],),
+                functions=[(func, constants)],
+                extractors=[lambda row: (row[2],)],
                 key_fn=lambda row: row[0],
                 ts_fn=lambda row: row[1], bucket_ms=HOUR)
             aggregator.absorb(("k", 0, 1.0))
+
+
+class TestStateVector:
+    def make(self):
+        return PreAggregator(
+            functions=[("sum", ()), ("count", ()), ("max", ())],
+            extractors=[lambda row: (row[2],)] * 3,
+            key_fn=lambda row: row[0], ts_fn=lambda row: row[1],
+            bucket_ms=HOUR, slots=(4, 0, 2), window="w")
+
+    def test_one_state_per_aggregate_in_slot_order(self):
+        aggregator = self.make()
+        aggregator.backfill(rows_for("k", 100))
+        result = aggregator.query("k", 0, 50 * HOUR - 1)
+        assert aggregator.slots == (4, 0, 2)
+        assert [state[0] for state in result.state[:2]] \
+            == [pytest.approx(raw_sum(rows_for("k", 100), "k", 0,
+                                      50 * HOUR - 1)), 100]
+        assert aggregator.partials.finalize(result.state)[2] == 9.0
+
+    def test_non_mergeable_member_rejected(self):
+        with pytest.raises(DeploymentError):
+            PreAggregator(
+                functions=[("sum", ()), ("ew_avg", (0.5,))],
+                extractors=[lambda row: (row[2],)] * 2,
+                key_fn=lambda row: row[0], ts_fn=lambda row: row[1],
+                bucket_ms=HOUR)
+
+    @pytest.mark.parametrize("extractors,slots", [(1, None), (2, (0,))])
+    def test_shape_mismatch_rejected(self, extractors, slots):
+        with pytest.raises(DeploymentError):
+            PreAggregator(
+                functions=[("sum", ()), ("count", ())],
+                extractors=[lambda row: (row[2],)] * extractors,
+                key_fn=lambda row: row[0], ts_fn=lambda row: row[1],
+                bucket_ms=HOUR, slots=slots)
 
 
 class TestBinlogIntegration:
@@ -207,7 +255,7 @@ def test_query_refinement_exactness_property(events, lo_hour, width):
     lo = lo_hour * HOUR + 3
     hi = lo + width * HOUR
     result = aggregator.query("k", lo, hi)
-    total = result.state[0] if result.state else 0.0
+    total = result.state[0][0] if result.state else 0.0
     for span in (result.head_span, result.tail_span):
         if span:
             total += raw_sum(rows, "k", span[0], span[1])

@@ -1,5 +1,6 @@
 """Tests for the self-adjusted window union (paper Section 5.2)."""
 
+import gc
 import random
 
 import pytest
@@ -111,12 +112,20 @@ class TestStats:
 
     def test_dynamic_balances_better_than_static(self):
         stream = skewed_stream(tuples=5000, hot_fraction=0.75)
-        static_stats = processor(
-            StaticScheduler(workers=4), incremental=True,
-            rebalance_every=250).run(iter(stream))
-        dynamic_stats = processor(
-            DynamicScheduler(workers=4, share_factor=1.2),
-            incremental=True, rebalance_every=250).run(iter(stream))
+        # Worker loads are timed per tuple: a full collection of a large
+        # heap (100+ ms late in a long session) landing on one tuple
+        # would charge one worker with it, so the runs go without one.
+        gc.collect()
+        gc.disable()
+        try:
+            static_stats = processor(
+                StaticScheduler(workers=4), incremental=True,
+                rebalance_every=250).run(iter(stream))
+            dynamic_stats = processor(
+                DynamicScheduler(workers=4, share_factor=1.2),
+                incremental=True, rebalance_every=250).run(iter(stream))
+        finally:
+            gc.enable()
         # With 75% of traffic on one key, static placement pins ~3/4 of
         # the load to one worker; sharing must visibly flatten it.
         assert dynamic_stats.imbalance < static_stats.imbalance * 0.9
